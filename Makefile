@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test smoke trace-smoke chaos-smoke serve-smoke lint-timing bench bench-micro bench-smoke bench-smoke-engine bench-compare bench-warm docs table1 table2
+.PHONY: check test hashseed-check smoke trace-smoke chaos-smoke serve-smoke lint-timing bench bench-micro bench-smoke bench-smoke-engine bench-compare bench-warm docs table1 table2
 
 # Tier-1 gate: the full test suite (which includes the deterministic
 # search-space guard), a CLI smoke test, the micro/ablation benchmark
@@ -11,7 +11,7 @@ PYTHONPATH := src
 # the full engine bench gated against the committed trajectory -- one
 # command.  (bench-smoke-engine, not bench-smoke: `test` already ran the
 # guard.)
-check: lint-timing test smoke trace-smoke bench-micro bench-smoke-engine bench-compare
+check: lint-timing test hashseed-check smoke trace-smoke bench-micro bench-smoke-engine bench-compare
 
 # The pytest-benchmark harnesses (checker scaling, variable-order ablation)
 # exercised as plain tests: their assertions catch API or counter drift that
@@ -23,6 +23,19 @@ bench-micro:
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# Hash-seed independence: the search guard's exact pins and the engine's
+# determinism tests rerun under several PYTHONHASHSEEDs, so set or dict
+# iteration order leaking into a result or counter fails here.  A pin that
+# moves with the seed is a defect to fix, not a seed to drop.
+hashseed-check:
+	@for seed in 0 1 7; do \
+		echo "PYTHONHASHSEED=$$seed"; \
+		PYTHONHASHSEED=$$seed PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
+			-p no:cacheprovider tests/core/test_search_guard.py tests/core/test_engine.py \
+			|| exit 1; \
+	done
+	@echo "hash-seed check OK"
 
 smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro table1 --category SLL --limit 2 --json > /dev/null

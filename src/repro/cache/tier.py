@@ -26,6 +26,7 @@ the store never propagate -- see :mod:`repro.cache.store`).
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, replace
 
 from repro.cache.fingerprint import registry_fingerprint
 from repro.cache.serialize import (
@@ -39,6 +40,7 @@ from repro.cache.serialize import (
 )
 from repro.cache.store import DEFAULT_MAX_ENTRIES, CacheStore
 from repro.sl.model import CanonicalForm
+from repro.sl.screen import peak_counter
 
 log = logging.getLogger("repro.cache")
 
@@ -51,14 +53,28 @@ class PersistentCacheError(RuntimeError):
     """The persistent tier cannot be soundly attached to this checker."""
 
 
-class PersistentCache:
-    """Disk tier for one checker/registry pair (see the module docstring).
+@dataclass
+class DiskStats:
+    """The disk tier's counters (the engine's ``CacheStats`` inherits them).
 
     ``disk_hits``/``disk_misses`` count *stream* lookups served from or
     missed by the disk tier (the per-lookup signal the warm-start hit rate
     is computed from); bulk refuter/unfold loads are one-shot and appear in
-    the store stats instead.
+    the store stats instead.  ``disk_evictions`` counts rows evicted by the
+    size cap, ``cache_file_bytes`` is the on-disk size (jobs sharing one
+    file all report it, so it merges by max) and ``disk_load_errors`` the
+    failures absorbed (corruption, version skew, undecodable rows).
     """
+
+    disk_hits: int = 0
+    disk_misses: int = 0
+    disk_evictions: int = 0
+    cache_file_bytes: int = peak_counter()
+    disk_load_errors: int = 0
+
+
+class PersistentCache:
+    """Disk tier for one checker/registry pair (see the module docstring)."""
 
     def __init__(
         self, path, registry, max_entries: int = DEFAULT_MAX_ENTRIES, fault_plan=None
@@ -71,14 +87,11 @@ class PersistentCache:
         #: and filesystem surprises -- or an injected fault -- can escape)
         #: disables the tier for the rest of the run instead of raising
         #: out of a checker call.  Warned once, counted in
-        #: :attr:`disk_load_errors`.
+        #: ``disk_load_errors``.
         self._disabled = False
-        self._tier_errors = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_evictions = 0
-        self.cache_file_bytes = 0
-        self._decode_errors = 0
+        #: The tier's counters; ``disk_load_errors`` holds the tier's own
+        #: absorbed failures, and :meth:`counters` adds the store's.
+        self.stats = DiskStats()
         self._stream_max_entries = 4096
         #: Keys already present on disk (loaded or flushed), per kind --
         #: avoids rewriting rows, which would reset their hit metadata.
@@ -118,7 +131,7 @@ class PersistentCache:
         checker.persistent = self
         self._warm_refuters(checker)
         self._warm_unfold_templates()
-        self.cache_file_bytes = self.store.file_bytes()
+        self.stats.cache_file_bytes = self.store.file_bytes()
 
     def _warm_refuters(self, checker) -> None:
         """Replay persisted refuters into the checker's LRU table.
@@ -191,21 +204,21 @@ class PersistentCache:
         key_bytes = stable_key_bytes(key)
         payload = self.store.get(self.fingerprint, KIND_STREAM, key_bytes)
         if payload is None:
-            self.disk_misses += 1
+            self.stats.disk_misses += 1
             return None
         try:
             stream = decode_stream(payload, self._stream_max_entries)
         except Exception as exc:
             self._note_decode_error(KIND_STREAM, exc)
-            self.disk_misses += 1
+            self.stats.disk_misses += 1
             return None
-        self.disk_hits += 1
+        self.stats.disk_hits += 1
         self._known[KIND_STREAM].add(key_bytes)
         self._touched.add(key_bytes)
         return stream
 
     def _note_decode_error(self, kind: str, exc: BaseException) -> None:
-        if self._decode_errors == 0:
+        if self.stats.disk_load_errors == 0:
             log.warning(
                 "persistent cache %s: undecodable %s row (%s: %s); treating as a miss",
                 self.store.path,
@@ -213,7 +226,7 @@ class PersistentCache:
                 type(exc).__name__,
                 exc,
             )
-        self._decode_errors += 1
+        self.stats.disk_load_errors += 1
 
     # ------------------------------------------------------------- flush --
 
@@ -300,8 +313,8 @@ class PersistentCache:
             self._touched.clear()
 
         if final:
-            self.disk_evictions += self.store.evict_over_cap()
-            self.cache_file_bytes = self.store.file_bytes()
+            self.stats.disk_evictions += self.store.evict_over_cap()
+            self.stats.cache_file_bytes = self.store.file_bytes()
         return written
 
     # ----------------------------------------------------------- counters --
@@ -318,23 +331,19 @@ class PersistentCache:
                 exc,
             )
         self._disabled = True
-        self._tier_errors += 1
+        self.stats.disk_load_errors += 1
 
-    @property
-    def disk_load_errors(self) -> int:
-        """Failures absorbed so far (store failures, undecodable rows, and
-        tier-level operations that had to disable the tier mid-run)."""
-        return self.store.load_errors + self._decode_errors + self._tier_errors
+    def counters(self) -> DiskStats:
+        """The tier's contribution to ``cache_stats()``.
 
-    def counters(self) -> dict[str, int]:
-        """The tier's contribution to ``cache_stats()``."""
-        return {
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "disk_evictions": self.disk_evictions,
-            "cache_file_bytes": self.cache_file_bytes,
-            "disk_load_errors": self.disk_load_errors,
-        }
+        ``disk_load_errors`` counts the failures absorbed so far: store
+        failures, undecodable rows, and tier-level operations that had to
+        disable the tier mid-run.
+        """
+        return replace(
+            self.stats,
+            disk_load_errors=self.stats.disk_load_errors + self.store.load_errors,
+        )
 
     def close(self) -> None:
         """Close the underlying store connection."""

@@ -47,9 +47,10 @@ import os
 import signal
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
+from repro.cache.tier import DiskStats
 from repro.core.sling import SlingConfig
 from repro.faults import (
     backoff_delays,
@@ -58,6 +59,7 @@ from repro.faults import (
     maybe_inject,
     set_current_attempt,
 )
+from repro.sl.screen import ScreeningStats
 from repro.telemetry import monotime
 
 log = logging.getLogger("repro.engine")
@@ -140,15 +142,18 @@ class EngineJob:
 
 
 @dataclass
-class CacheStats:
-    """Memoization and candidate-screening counters, for one job.
+class CacheStats(DiskStats, ScreeningStats):
+    """Every work counter of one job: the single declared counter set.
 
-    The screening counters (``candidates_*``, ``refuted_by_first_model``)
-    measure the fail-fast pipeline of Algorithm 2: candidates enumerated,
-    candidates rejected by the semantic pre-filter without any checker call,
-    candidates actually checked, and ``check_all`` calls settled by the
-    first model tried.  They extend -- never replace -- the original cache
-    schema, so existing consumers keep working.
+    Extends the checker-owned :class:`~repro.sl.screen.ScreeningStats` and
+    the disk tier's :class:`~repro.cache.tier.DiskStats` with the driver,
+    unfold and resilience counters.  Each name is declared exactly once, as
+    a field: :meth:`merge` (inherited) and :meth:`as_dict` iterate
+    :func:`dataclasses.fields`, :func:`~repro.sl.screen.peak_counter` marks
+    the counters that merge by max, and the Table 1 / Table 2 payloads
+    carry this struct as-is -- adding a counter means adding one field.
+    Dataclass fields follow the bases in reverse, so the JSON keys list the
+    screening counters, then the disk ones, then the fields below.
     """
 
     checker_hits: int = 0
@@ -159,51 +164,14 @@ class CacheStats:
     # shared among result branches (see ``Sling.infer_from_models``).
     atom_cache_hits: int = 0
     atom_cache_misses: int = 0
-    candidates_generated: int = 0
-    candidates_prefiltered: int = 0
-    candidates_checked: int = 0
-    refuted_by_first_model: int = 0
-    pruned_cases: int = 0
-    max_trail_depth: int = 0
-    # Skeleton-batching counters (``ModelChecker.check_batch``): groups
-    # formed, skeleton searches run, env-stream memo reuses, compiled
-    # pure-variant evaluations, exact-search fallbacks.
-    candidate_groups: int = 0
-    skeletons_solved: int = 0
-    env_stream_reuses: int = 0
-    pure_variant_evals: int = 0
-    batch_exact_fallbacks: int = 0
-    # Canonical-interning counters (isomorphism dedup in the driver and
-    # canonical stream keys in the checker; see ``docs/performance.md``):
+    # Isomorphism-dedup counters of the driver (see ``docs/performance.md``):
     # isomorphism classes formed, member models replayed from a class
-    # representative, stream-memo hits that only canonical keying made
-    # possible, and models that took the exact per-model path anyway
+    # representative, and models that took the exact per-model path anyway
     # (exactness guard, or a location rolled back after an order-dependent
     # checker selection).
     iso_classes: int = 0
     models_deduped: int = 0
-    canonical_stream_hits: int = 0
     iso_exact_fallbacks: int = 0
-    #: Exact-search selections that were enumeration-order dependent (see
-    #: :class:`repro.sl.screen.ScreeningStats`).
-    exact_selection_ambiguities: int = 0
-    # Columnar-kernel counters (``repro.sl.kernels``): group-kernel
-    # invocations, variants resolved via posting-list intersection over the
-    # stream slot indexes, and pin-free variants that kept the full scan.
-    # All zero when ``SlingConfig.columnar_kernels`` is off.
-    kernel_groups: int = 0
-    stream_index_hits: int = 0
-    kernel_scan_fallbacks: int = 0
-    # Persistent-cache counters (:mod:`repro.cache`): skeleton streams
-    # served from / missed by the disk tier, rows evicted by the size cap,
-    # on-disk cache size, and failures absorbed (corruption, version skew,
-    # undecodable rows).  All zero unless ``SlingConfig.persistent_cache``
-    # is set -- the search-guard baselines pin exactly that.
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_evictions: int = 0
-    cache_file_bytes: int = 0
-    disk_load_errors: int = 0
     # Resilience counters (see ``docs/resilience.md``): transient-failure
     # retries consumed, pool workers respawned after a death, jobs
     # quarantined as poison, pool-healing rounds, jobs that ran in the
@@ -217,72 +185,15 @@ class CacheStats:
     pool_rebuilds: int = 0
     degraded_sequential: int = 0
     faults_injected: int = 0
-    # Serving-layer counters (:mod:`repro.serve`, see ``docs/serving.md``):
-    # requests admitted by the daemon, the deepest the bounded job queue
-    # ever got, requests rejected by admission control, requests whose
-    # deadline expired with partial results, requests cancelled because
-    # their client vanished, and journaled requests re-run after a daemon
-    # restart.  All exactly zero outside serve mode -- the search-guard
-    # baselines pin that, like every prior subsystem.
-    serve_requests: int = 0
-    serve_queue_high_water: int = 0
-    serve_rejections: int = 0
-    serve_deadline_expiries: int = 0
-    serve_client_disconnects: int = 0
-    serve_requests_resumed: int = 0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another job's counters into this one."""
-        self.checker_hits += other.checker_hits
-        self.checker_misses += other.checker_misses
-        self.unfold_hits += other.unfold_hits
-        self.unfold_misses += other.unfold_misses
-        self.atom_cache_hits += other.atom_cache_hits
-        self.atom_cache_misses += other.atom_cache_misses
-        self.candidates_generated += other.candidates_generated
-        self.candidates_prefiltered += other.candidates_prefiltered
-        self.candidates_checked += other.candidates_checked
-        self.refuted_by_first_model += other.refuted_by_first_model
-        self.pruned_cases += other.pruned_cases
-        self.candidate_groups += other.candidate_groups
-        self.skeletons_solved += other.skeletons_solved
-        self.env_stream_reuses += other.env_stream_reuses
-        self.pure_variant_evals += other.pure_variant_evals
-        self.batch_exact_fallbacks += other.batch_exact_fallbacks
-        self.iso_classes += other.iso_classes
-        self.models_deduped += other.models_deduped
-        self.canonical_stream_hits += other.canonical_stream_hits
-        self.iso_exact_fallbacks += other.iso_exact_fallbacks
-        self.exact_selection_ambiguities += other.exact_selection_ambiguities
-        self.kernel_groups += other.kernel_groups
-        self.stream_index_hits += other.stream_index_hits
-        self.kernel_scan_fallbacks += other.kernel_scan_fallbacks
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-        self.disk_evictions += other.disk_evictions
-        self.disk_load_errors += other.disk_load_errors
-        self.jobs_retried += other.jobs_retried
-        self.workers_respawned += other.workers_respawned
-        self.jobs_poisoned += other.jobs_poisoned
-        self.pool_rebuilds += other.pool_rebuilds
-        self.degraded_sequential += other.degraded_sequential
-        self.faults_injected += other.faults_injected
-        self.serve_requests += other.serve_requests
-        self.serve_rejections += other.serve_rejections
-        self.serve_deadline_expiries += other.serve_deadline_expiries
-        self.serve_client_disconnects += other.serve_client_disconnects
-        self.serve_requests_resumed += other.serve_requests_resumed
-        # A depth, not a volume: the queue high-water mark of a merged batch
-        # is the deepest any contributor observed.
-        if other.serve_queue_high_water > self.serve_queue_high_water:
-            self.serve_queue_high_water = other.serve_queue_high_water
-        # A size, not a volume: jobs sharing one cache file all report the
-        # same file, so the batch-wide value is the largest observed.
-        if other.cache_file_bytes > self.cache_file_bytes:
-            self.cache_file_bytes = other.cache_file_bytes
-        # A depth, not a volume: the batch-wide value is the deepest job.
-        if other.max_trail_depth > self.max_trail_depth:
-            self.max_trail_depth = other.max_trail_depth
+    #: Derived ratios appended to :meth:`as_dict` (rounded to 4 places).
+    RATES = (
+        "checker_hit_rate",
+        "unfold_hit_rate",
+        "prefilter_rate",
+        "stream_reuse_rate",
+        "disk_hit_rate",
+    )
 
     @property
     def checker_hit_rate(self) -> float:
@@ -313,55 +224,11 @@ class CacheStats:
         return self.disk_hits / total if total else 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "checker_hits": self.checker_hits,
-            "checker_misses": self.checker_misses,
-            "checker_hit_rate": round(self.checker_hit_rate, 4),
-            "unfold_hits": self.unfold_hits,
-            "unfold_misses": self.unfold_misses,
-            "unfold_hit_rate": round(self.unfold_hit_rate, 4),
-            "atom_cache_hits": self.atom_cache_hits,
-            "atom_cache_misses": self.atom_cache_misses,
-            "candidates_generated": self.candidates_generated,
-            "candidates_prefiltered": self.candidates_prefiltered,
-            "candidates_checked": self.candidates_checked,
-            "prefilter_rate": round(self.prefilter_rate, 4),
-            "refuted_by_first_model": self.refuted_by_first_model,
-            "pruned_cases": self.pruned_cases,
-            "max_trail_depth": self.max_trail_depth,
-            "candidate_groups": self.candidate_groups,
-            "skeletons_solved": self.skeletons_solved,
-            "env_stream_reuses": self.env_stream_reuses,
-            "stream_reuse_rate": round(self.stream_reuse_rate, 4),
-            "pure_variant_evals": self.pure_variant_evals,
-            "batch_exact_fallbacks": self.batch_exact_fallbacks,
-            "iso_classes": self.iso_classes,
-            "models_deduped": self.models_deduped,
-            "canonical_stream_hits": self.canonical_stream_hits,
-            "iso_exact_fallbacks": self.iso_exact_fallbacks,
-            "exact_selection_ambiguities": self.exact_selection_ambiguities,
-            "kernel_groups": self.kernel_groups,
-            "stream_index_hits": self.stream_index_hits,
-            "kernel_scan_fallbacks": self.kernel_scan_fallbacks,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "disk_hit_rate": round(self.disk_hit_rate, 4),
-            "disk_evictions": self.disk_evictions,
-            "cache_file_bytes": self.cache_file_bytes,
-            "disk_load_errors": self.disk_load_errors,
-            "jobs_retried": self.jobs_retried,
-            "workers_respawned": self.workers_respawned,
-            "jobs_poisoned": self.jobs_poisoned,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded_sequential": self.degraded_sequential,
-            "faults_injected": self.faults_injected,
-            "serve_requests": self.serve_requests,
-            "serve_queue_high_water": self.serve_queue_high_water,
-            "serve_rejections": self.serve_rejections,
-            "serve_deadline_expiries": self.serve_deadline_expiries,
-            "serve_client_disconnects": self.serve_client_disconnects,
-            "serve_requests_resumed": self.serve_requests_resumed,
-        }
+        """Every counter by field name, then the :attr:`RATES`."""
+        data: dict[str, float] = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        for rate in self.RATES:
+            data[rate] = round(getattr(self, rate), 4)
+        return data
 
 
 @dataclass
@@ -527,13 +394,13 @@ def _dispatch(job: EngineJob) -> tuple[object, CacheStats]:
         from repro.evaluation.table1 import evaluate_program
 
         result = evaluate_program(benchmark, config=job.config, seed=job.seed)
-        return result, result.cache_stats()
+        return result, result.cache
 
     if job.kind == "table2":
         from repro.evaluation.table2 import compare_benchmark
 
-        comparison, cache = compare_benchmark(benchmark, config=job.config, seed=job.seed)
-        return comparison, cache
+        comparison = compare_benchmark(benchmark, config=job.config, seed=job.seed)
+        return comparison, comparison.cache
 
     # job.kind == "spec"
     from repro.core.sling import Sling
@@ -712,9 +579,7 @@ class InferenceEngine:
             backoff_base=self.backoff_base,
             backoff_cap=self.backoff_cap,
         )
-        if used:
-            report.cache.jobs_retried += used
-            _mirror_heal_counters(report)
+        report.cache.jobs_retried += used
         return report
 
     def run_named(
@@ -787,34 +652,6 @@ class InferenceEngine:
 # ---------------------------------------------------------------------------
 # Self-healing pool
 # ---------------------------------------------------------------------------
-
-#: Parent-side healing counters stamped onto the guilty job's report (and
-#: mirrored onto payloads that carry matching fields, e.g. the Table 1
-#: ``ProgramResult``).  ``faults_injected`` is worker-side and mirrored too.
-_HEAL_FIELDS = (
-    "jobs_retried",
-    "workers_respawned",
-    "jobs_poisoned",
-    "pool_rebuilds",
-    "degraded_sequential",
-)
-
-
-def _mirror_heal_counters(report: EngineReport) -> None:
-    """Copy resilience counters from ``report.cache`` onto its payload.
-
-    Table 1 payloads fill their counter fields from the worker-side
-    ``Sling`` snapshot, which cannot know about parent-side healing; this
-    post-hoc copy is what makes retries and respawns visible in the table
-    JSON and ``cache_totals()``.
-    """
-    payload = report.payload
-    if payload is None:
-        return
-    for field_name in (*_HEAL_FIELDS, "faults_injected"):
-        if hasattr(payload, field_name):
-            setattr(payload, field_name, getattr(report.cache, field_name))
-
 
 def _backoff_seed(job: EngineJob) -> int:
     plan = job.config.fault_plan if job.config is not None else None
@@ -902,7 +739,9 @@ class _JobState:
     job: EngineJob
     retries: int = 0
     worker_deaths: int = 0
-    heal: dict = field(default_factory=lambda: dict.fromkeys(_HEAL_FIELDS, 0))
+    #: Parent-side healing counters, merged into the final report's
+    #: counters (see :meth:`_PoolSupervisor._stamp_heal_counters`).
+    heal: CacheStats = field(default_factory=CacheStats)
 
 
 class _PoolSupervisor:
@@ -1116,7 +955,7 @@ class _PoolSupervisor:
         )
         delay = delays[state.retries]
         state.retries += 1
-        state.heal["jobs_retried"] += 1
+        state.heal.jobs_retried += 1
         self._emit_span(
             "retry",
             state.job.benchmark,
@@ -1174,14 +1013,14 @@ class _PoolSupervisor:
         self.pool_rebuilds += 1
         blame = guilty[0][0] if guilty else (min(self.outstanding) if self.outstanding else None)
         if blame is not None:
-            self.states[blame].heal["pool_rebuilds"] += 1
+            self.states[blame].heal.pool_rebuilds += 1
         for index, worker in guilty:
             state = self.states[index]
             state.worker_deaths += 1
             if state.worker_deaths >= 2:
                 # Quarantine: this job has now killed two workers; a third
                 # respawn would only feed it another one.
-                state.heal["jobs_poisoned"] += 1
+                state.heal.jobs_poisoned += 1
                 self._finalize(
                     index,
                     EngineReport(
@@ -1238,7 +1077,7 @@ class _PoolSupervisor:
         for count in range(respawned):
             index = guilty[count % len(guilty)][0] if guilty else blame
             if index is not None:
-                self.states[index].heal["workers_respawned"] += 1
+                self.states[index].heal.workers_respawned += 1
         self._emit_span(
             "pool_heal",
             f"rebuild-{self.pool_rebuilds}",
@@ -1321,12 +1160,12 @@ class _PoolSupervisor:
                     self._cancel_remaining(reason)
                     return
             state = self.states[index]
-            state.heal["degraded_sequential"] += 1
+            state.heal.degraded_sequential += 1
             if self.timeout_for is not None:
                 state.job = replace(state.job, timeout=self.timeout_for(state.job))
 
             def count_retry(attempt: int, state=state) -> None:
-                state.heal["jobs_retried"] += 1
+                state.heal.jobs_retried += 1
                 self._emit_span(
                     "retry",
                     state.job.benchmark,
@@ -1350,13 +1189,12 @@ class _PoolSupervisor:
     # ------------------------------------------------------------ stamping --
 
     def _stamp_heal_counters(self) -> None:
+        # A worker cannot know it died, so the parent-side counters are
+        # merged in afterwards.  ``report.cache`` is the payload's own
+        # struct (one pickle keeps the shared reference), so the Table 1 /
+        # Table 2 payloads see them too.
         for index, state in self.states.items():
-            if not any(state.heal.values()):
-                continue
-            report = self.final[index]
-            for field_name, value in state.heal.items():
-                setattr(report.cache, field_name, getattr(report.cache, field_name) + value)
-            _mirror_heal_counters(report)
+            self.final[index].cache.merge(state.heal)
 
     def _emit_span(self, kind: str, name: str, **attrs) -> None:
         if self.tracer is None:
@@ -1739,6 +1577,9 @@ def benchmark_warm_start(
             "reference; results served from disk are not bit-identical"
         )
 
+    def disk_counters(cache: CacheStats) -> dict[str, int]:
+        return {spec.name: getattr(cache, spec.name) for spec in fields(DiskStats)}
+
     cold_cache = cold_result.cache_totals() if cold_result is not None else None
     warm_cache = warm_result.cache_totals()
     return {
@@ -1759,21 +1600,9 @@ def benchmark_warm_start(
             else None,
         },
         "disk": {
-            "cold": None
-            if cold_cache is None
-            else {
-                "disk_hits": cold_cache.disk_hits,
-                "disk_misses": cold_cache.disk_misses,
-                "disk_evictions": cold_cache.disk_evictions,
-                "cache_file_bytes": cold_cache.cache_file_bytes,
-                "disk_load_errors": cold_cache.disk_load_errors,
-            },
+            "cold": None if cold_cache is None else disk_counters(cold_cache),
             "warm": {
-                "disk_hits": warm_cache.disk_hits,
-                "disk_misses": warm_cache.disk_misses,
-                "disk_evictions": warm_cache.disk_evictions,
-                "cache_file_bytes": warm_cache.cache_file_bytes,
-                "disk_load_errors": warm_cache.disk_load_errors,
+                **disk_counters(warm_cache),
                 "hit_rate": round(warm_cache.disk_hit_rate, 4),
             },
         },

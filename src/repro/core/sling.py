@@ -204,20 +204,17 @@ class Sling:
             # entry point that can only happen when the user explicitly
             # disabled canonical_stream_keys, so the error is theirs to see.
             self.persistent_cache.attach(self.checker)
-        # Hit/miss counters of the per-inference (variable, models) memo that
-        # shares Algorithm 2 runs among result branches.
-        self.atom_cache_hits = 0
-        self.atom_cache_misses = 0
-        # Isomorphism-dedup counters (see ``infer_from_models``): classes
-        # formed, member models replayed from a representative, and models
-        # that took the exact per-model path anyway -- because their
-        # canonicalization is not provably exact, or because their location
-        # was rolled back after an order-dependent checker selection.  All
-        # three count only what actually stuck: an abandoned dedup attempt
-        # is subtracted again.
-        self.iso_classes = 0
-        self.models_deduped = 0
-        self.iso_exact_fallbacks = 0
+        # Imported here: the engine imports SlingConfig from this module at
+        # module load, so the reverse import must stay out of load order.
+        from repro.core.engine import CacheStats
+
+        #: The driver's own counters: the per-inference (variable, models)
+        #: memo that shares Algorithm 2 runs among result branches
+        #: (``atom_cache_*``) and the isomorphism dedup of
+        #: ``infer_from_models`` (``iso_*``, ``models_deduped``), which
+        #: counts only what actually stuck -- an abandoned dedup attempt is
+        #: subtracted again.
+        self.counters = CacheStats()
 
     def cache_counters(self):
         """Counters of the memo layers, as an engine :class:`CacheStats`.
@@ -226,36 +223,21 @@ class Sling:
         :meth:`cache_stats` is its dict rendering, and the engine's
         per-job accounting consumes the struct directly.
         """
-        # Imported here: the engine imports SlingConfig from this module at
-        # module load, so the reverse import must stay out of load order.
-        from repro.core.engine import CacheStats
-
         checker = self.checker.cache_info()
         unfold = self.predicates.unfold_stats()
-        screen = self.checker.screen_stats
-        if self.persistent_cache is not None:
-            disk = self.persistent_cache.counters()
-        else:
-            disk = {
-                "disk_hits": 0,
-                "disk_misses": 0,
-                "disk_evictions": 0,
-                "cache_file_bytes": 0,
-                "disk_load_errors": 0,
-            }
-        return CacheStats(
+        # A copy of the driver's own counters, plus the checker's and the
+        # disk tier's, copied field by field (merging into zeros copies).
+        stats = replace(
+            self.counters,
             checker_hits=checker["hits"],
             checker_misses=checker["misses"],
             unfold_hits=unfold["hits"],
             unfold_misses=unfold["misses"],
-            atom_cache_hits=self.atom_cache_hits,
-            atom_cache_misses=self.atom_cache_misses,
-            iso_classes=self.iso_classes,
-            models_deduped=self.models_deduped,
-            iso_exact_fallbacks=self.iso_exact_fallbacks,
-            **screen.as_dict(),
-            **disk,
         )
+        stats.merge(self.checker.screen_stats)
+        if self.persistent_cache is not None:
+            stats.merge(self.persistent_cache.counters())
+        return stats
 
     def cache_stats(self) -> dict:
         """Dict rendering of :meth:`cache_counters` (JSON reports, tests).
@@ -413,10 +395,10 @@ class Sling:
                         weights=weights,
                     )
                     split_cache[cache_key] = (split, atom_results)
-                    self.atom_cache_misses += 1
+                    self.counters.atom_cache_misses += 1
                 else:
                     split, atom_results = cached
-                    self.atom_cache_hits += 1
+                    self.counters.atom_cache_hits += 1
                 for atom_result in atom_results:
                     atoms = list(result.atoms)
                     exists = list(result.exists)
@@ -453,9 +435,9 @@ class Sling:
                 # dedup bookkeeping back so the counters only ever report
                 # dedup that actually stuck.
                 deduped = len(original_models) - len(work_models)
-                self.iso_classes -= len(work_models)
-                self.models_deduped -= deduped
-                self.iso_exact_fallbacks += deduped
+                self.counters.iso_classes -= len(work_models)
+                self.counters.models_deduped -= deduped
+                self.counters.iso_exact_fallbacks += deduped
                 return self.infer_from_models(
                     original_models, location, free_vars, _allow_dedup=False
                 )
@@ -511,12 +493,12 @@ class Sling:
                     addr: member_from[cid] for addr, cid in rep_canon.to_id.items()
                 }
                 expansion.append((position, translation))
-        self.iso_classes += len(representatives)
-        self.iso_exact_fallbacks += opaque
+        self.counters.iso_classes += len(representatives)
+        self.counters.iso_exact_fallbacks += opaque
         deduped = len(models) - len(representatives)
         if deduped == 0:
             return models, [1] * len(models), None
-        self.models_deduped += deduped
+        self.counters.models_deduped += deduped
         return representatives, weights, expansion
 
     @staticmethod

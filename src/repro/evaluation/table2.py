@@ -45,12 +45,9 @@ class BenchmarkComparison:
     name: str
     category: str
     outcomes: list[PropertyOutcome] = field(default_factory=list)
-    #: Algorithm 2 candidates the SLING run behind this comparison checked
-    #: and the skeleton groups they collapsed into (feed the ``Cand``/``Grp``
-    #: columns; the full counter set travels on the engine report's
-    #: ``CacheStats``).
-    candidates_checked: int = 0
-    candidate_groups: int = 0
+    #: Work counters of the SLING run behind this comparison (the engine
+    #: report's ``cache`` is this same struct).
+    cache: CacheStats = field(default_factory=CacheStats)
 
 
 @dataclass
@@ -123,14 +120,14 @@ def compare_benchmark(
     benchmark: BenchmarkProgram,
     config: SlingConfig | None = None,
     seed: int = 0,
-) -> tuple[BenchmarkComparison, CacheStats]:
+) -> BenchmarkComparison:
     """Evaluate one benchmark's documented properties with SLING and S2."""
     from repro.baselines.s2 import S2Analyzer
 
     config = config or SlingConfig(discard_crashed_runs=True)
     comparison = BenchmarkComparison(name=benchmark.name, category=benchmark.category)
     if not benchmark.documented:
-        return comparison, CacheStats()
+        return comparison
 
     unfold_before = benchmark.predicates.unfold_stats()
     sling = Sling(benchmark.program, benchmark.predicates, config)
@@ -146,10 +143,8 @@ def compare_benchmark(
                 s2_found=id(documented) in s2_found,
             )
         )
-    cache = collect_cache_stats(sling, unfold_before)
-    comparison.candidates_checked = cache.candidates_checked
-    comparison.candidate_groups = cache.candidate_groups
-    return comparison, cache
+    comparison.cache = collect_cache_stats(sling, unfold_before)
+    return comparison
 
 
 def run_table2(
@@ -180,8 +175,8 @@ def run_table2(
             result.rows.append(row)
         for outcome in payload.outcomes:
             row.add(outcome.sling_found, outcome.s2_found)
-        row.candidates_checked += payload.candidates_checked
-        row.candidate_groups += payload.candidate_groups
+        row.candidates_checked += payload.cache.candidates_checked
+        row.candidate_groups += payload.cache.candidate_groups
     return result
 
 

@@ -34,6 +34,7 @@ import socket
 import tempfile
 import threading
 import time
+from dataclasses import asdict
 
 from repro.faults.chaos import JobRow, ScenarioReport
 from repro.serve.client import run_local
@@ -75,11 +76,7 @@ class _ServeDrill:
 
     def counters(self) -> dict:
         with self.daemon._stats_lock:
-            return {
-                key: value
-                for key, value in self.daemon.stats.as_dict().items()
-                if key.startswith("serve_")
-            }
+            return asdict(self.daemon.serve_stats)
 
     def close(self, failures: list[str]) -> None:
         try:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import socket
+from dataclasses import asdict
 
 from repro.serve.protocol import (
     ServeRequest,
+    ServeStats,
     accepted_record,
     done_record,
     encode,
@@ -84,7 +86,7 @@ def run_local(
     benchmark's records as its job finalizes.  The request ``deadline`` is
     honoured as the per-job timeout budget, measured from this call.
     """
-    from repro.core.engine import CacheStats, EngineJob, InferenceEngine
+    from repro.core.engine import EngineJob, InferenceEngine
     from repro.core.sling import SlingConfig
     from repro.telemetry import monotime
 
@@ -126,9 +128,6 @@ def run_local(
         on_report=on_report,
         cancel=cancel,
     )
-    stats = CacheStats()
-    for report in reports:
-        stats.merge(report.cache)
     status = "complete"
     if deadline_at is not None and (
         monotime() > deadline_at
@@ -143,9 +142,7 @@ def run_local(
         request.id,
         status,
         jobs=len(reports),
-        counters={
-            key: value for key, value in stats.as_dict().items() if key.startswith("serve_")
-        },
+        counters=asdict(ServeStats()),
         seconds=monotime() - started,
     )
     emit(record)

@@ -46,14 +46,15 @@ import signal
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.core.engine import CacheStats, EngineJob, InferenceEngine
+from repro.core.engine import EngineJob, InferenceEngine
 from repro.core.sling import SlingConfig
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import (
     ProtocolError,
     ServeRequest,
+    ServeStats,
     accepted_record,
     done_record,
     encode,
@@ -236,9 +237,8 @@ class ServeDaemon:
             telemetry=telemetry,
             fault_plan=fault_plan,
         )
-        #: Aggregated counters of everything served (the serve_* fields are
-        #: this daemon's own; the rest accumulate from job reports).
-        self.stats = CacheStats()
+        #: Daemon-lifetime serving counters (``done.counters``).
+        self.serve_stats = ServeStats()
         self._stats_lock = threading.Lock()
         self.journal = RequestJournal(self.journal_path, fault_plan=fault_plan)
         self.tracer = telemetry.tracer() if telemetry is not None else None
@@ -348,7 +348,7 @@ class ServeDaemon:
         try:
             for request in pending:
                 with self._stats_lock:
-                    self.stats.serve_requests_resumed += 1
+                    self.serve_stats.serve_requests_resumed += 1
                 self._run_request(
                     _PendingRequest(
                         request=request,
@@ -423,12 +423,12 @@ class ServeDaemon:
         except ProtocolError as exc:
             self._safe_write(connection, rejected_record(None, f"bad request: {exc}"))
             with self._stats_lock:
-                self.stats.serve_rejections += 1
+                self.serve_stats.serve_rejections += 1
             return None
         if self._draining.is_set():
             self._safe_write(connection, rejected_record(request.id, "draining"))
             with self._stats_lock:
-                self.stats.serve_rejections += 1
+                self.serve_stats.serve_rejections += 1
             return None
         pending = _PendingRequest(
             request=request, sink=connection, enqueued_at=monotime()
@@ -443,13 +443,13 @@ class ServeDaemon:
             self.journal.record_done(request.id)
             self._safe_write(connection, rejected_record(request.id, "queue full"))
             with self._stats_lock:
-                self.stats.serve_rejections += 1
+                self.serve_stats.serve_rejections += 1
             return None
         with self._stats_lock:
-            self.stats.serve_requests += 1
-            high_water = self.queue.high_water_mark()
-            if high_water > self.stats.serve_queue_high_water:
-                self.stats.serve_queue_high_water = high_water
+            self.serve_stats.serve_requests += 1
+            self.serve_stats.serve_queue_high_water = max(
+                self.serve_stats.serve_queue_high_water, self.queue.high_water_mark()
+            )
         self._safe_write(connection, accepted_record(request.id))
         return pending
 
@@ -506,17 +506,11 @@ class ServeDaemon:
             if span is not None:
                 span.__exit__(None, None, None)
         with self._stats_lock:
-            for report in reports:
-                self.stats.merge(report.cache)
             if status == "deadline_expired":
-                self.stats.serve_deadline_expiries += 1
+                self.serve_stats.serve_deadline_expiries += 1
             elif status == "cancelled":
-                self.stats.serve_client_disconnects += 1
-            counters = {
-                key: value
-                for key, value in self.stats.as_dict().items()
-                if key.startswith("serve_")
-            }
+                self.serve_stats.serve_client_disconnects += 1
+            counters = asdict(self.serve_stats)
         self._safe_write(
             pending.sink,
             done_record(

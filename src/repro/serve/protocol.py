@@ -32,7 +32,8 @@ seconds from admission) bounds the request's wall clock.  Response records
     One per benchmark as its job finalizes: ok/error and validation.
 ``done``
     Terminal record: ``status`` is ``complete``, ``deadline_expired`` or
-    ``cancelled``, plus a serving-counter snapshot.
+    ``cancelled``, plus a snapshot of the daemon-lifetime
+    :class:`ServeStats` counters.
 
 Records are rendered with sorted keys and no run-dependent fields outside
 ``done.counters``/``done.seconds``, so two streams for the same request
@@ -58,6 +59,27 @@ DONE_STATUSES = ("complete", "deadline_expired", "cancelled")
 
 class ProtocolError(ValueError):
     """A request line violates the schema (rejected, never crashes)."""
+
+
+@dataclass
+class ServeStats:
+    """The daemon's own counters, accumulated over its lifetime.
+
+    Requests admitted, the deepest the bounded job queue ever got, requests
+    rejected by admission control, requests whose deadline expired with
+    partial results, requests cancelled because their client vanished, and
+    journaled requests re-run after a restart.  Job work counters are not
+    here: they stay on each job's ``EngineReport.cache``.  ``done.counters``
+    is ``dataclasses.asdict`` of this struct; the in-process fallback has
+    no daemon and reports all zeros.
+    """
+
+    serve_requests: int = 0
+    serve_queue_high_water: int = 0
+    serve_rejections: int = 0
+    serve_deadline_expiries: int = 0
+    serve_client_disconnects: int = 0
+    serve_requests_resumed: int = 0
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,9 @@ The equivalence suite (``tests/sl/test_kernels.py``) asserts this per
 
 Counters (:class:`repro.sl.screen.ScreeningStats`): ``kernel_groups``
 counts kernel invocations (one per group x model), ``stream_index_hits``
-variants resolved through posting-list intersection,
-``kernel_scan_fallbacks`` pin-free variants that scanned every entry;
-``pure_variant_evals`` keeps its meaning -- entries actually examined per
-variant -- and is what the columnar path drives down.
+variants resolved through posting-list intersection; ``pure_variant_evals``
+keeps its meaning -- entries actually examined per variant -- and is what
+the columnar path drives down.
 """
 
 from __future__ import annotations
@@ -163,7 +162,6 @@ def decide_group(
             # the record degenerates to the scan the legacy path would run
             # -- computed once per (stream, consumer) and shared by every
             # group's all-fresh variant from then on.
-            stats.kernel_scan_fallbacks += len(members)
             key = (positions, (), consumer)
             record = cache.get(key, _ABSENT)
             if record is _ABSENT:

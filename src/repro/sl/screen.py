@@ -32,7 +32,7 @@ candidates that a base case can satisfy vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from repro.sl.errors import UnknownPredicateError
@@ -46,9 +46,21 @@ from repro.sl.spatial import PointsTo, PredApp, SymHeap
 # ---------------------------------------------------------------------------
 
 
+def peak_counter():
+    """A counter field that merges by max -- a depth or a size, not a volume."""
+    return field(default=0, metadata={"merge": max})
+
+
 @dataclass
 class ScreeningStats:
     """Counters of the screening / fail-fast layer, owned by a checker.
+
+    The base of the one declared counter set: the engine's
+    :class:`~repro.core.engine.CacheStats` extends it (and the disk tier's
+    counters) with the driver and resilience counters.  Each counter is a
+    plain ``int`` field, bumped with ``+=`` on the hot path; :meth:`merge`
+    and every export iterate :func:`dataclasses.fields`, so a new counter
+    is one new field.
 
     ``candidates_generated`` counts Algorithm 2 candidates surviving the
     type and signature filters; ``candidates_prefiltered`` those rejected by
@@ -65,7 +77,7 @@ class ScreeningStats:
     candidates_checked: int = 0
     refuted_by_first_model: int = 0
     pruned_cases: int = 0
-    max_trail_depth: int = 0
+    max_trail_depth: int = peak_counter()
     #: Skeleton-batching counters (see ``ModelChecker.check_batch``):
     #: candidate groups formed by the candidate loop, skeleton searches
     #: actually run, stream-memo reuses, per-(variant, entry) evaluations of
@@ -86,32 +98,23 @@ class ScreeningStats:
     #: selections must not be replayed onto address-renamed models.
     exact_selection_ambiguities: int = 0
     #: Columnar-kernel counters (see :mod:`repro.sl.kernels`): group-kernel
-    #: invocations (one per candidate group x model), variants resolved by
-    #: posting-list intersection over the stream's slot indexes, and
-    #: pin-free variants that kept the full entry scan as their fallback.
+    #: invocations (one per candidate group x model) and variants resolved
+    #: by posting-list intersection over the stream's slot indexes.
     kernel_groups: int = 0
     stream_index_hits: int = 0
-    kernel_scan_fallbacks: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "candidates_generated": self.candidates_generated,
-            "candidates_prefiltered": self.candidates_prefiltered,
-            "candidates_checked": self.candidates_checked,
-            "refuted_by_first_model": self.refuted_by_first_model,
-            "pruned_cases": self.pruned_cases,
-            "max_trail_depth": self.max_trail_depth,
-            "candidate_groups": self.candidate_groups,
-            "skeletons_solved": self.skeletons_solved,
-            "env_stream_reuses": self.env_stream_reuses,
-            "pure_variant_evals": self.pure_variant_evals,
-            "batch_exact_fallbacks": self.batch_exact_fallbacks,
-            "canonical_stream_hits": self.canonical_stream_hits,
-            "exact_selection_ambiguities": self.exact_selection_ambiguities,
-            "kernel_groups": self.kernel_groups,
-            "stream_index_hits": self.stream_index_hits,
-            "kernel_scan_fallbacks": self.kernel_scan_fallbacks,
-        }
+    def merge(self, other: "ScreeningStats") -> None:
+        """Accumulate ``other``'s counters: summed, or max for peak counters.
+
+        ``other`` may be a base-class instance (a checker's counters merged
+        into a job-wide :class:`~repro.core.engine.CacheStats`).
+        """
+        for spec in fields(other):
+            name = spec.name
+            combine = spec.metadata.get("merge")
+            mine = getattr(self, name)
+            theirs = getattr(other, name)
+            setattr(self, name, combine(mine, theirs) if combine else mine + theirs)
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,20 @@ class Tracer:
         self._file.write(json.dumps(record, default=str) + "\n")
         self._file.flush()
 
+    @property
+    def closed(self) -> bool:
+        return self._file.closed
+
     def close(self) -> None:
         if not self._file.closed:
             self._file.close()
+
+
+#: The open tracer of each (file, pid).  A pool worker unpickles a fresh
+#: :class:`Telemetry` handle with every job it runs; all of them must share
+#: the worker's one segment tracer, because opening the segment again would
+#: truncate the earlier jobs' spans and restart the span ids.
+_TRACERS: dict[tuple[str, int], Tracer] = {}
 
 
 class Telemetry:
@@ -189,8 +200,9 @@ class Telemetry:
     :meth:`tracer` lazily builds (and caches) the process-local
     :class:`Tracer` -- the origin pid writes ``path`` itself, every other
     pid writes the segment file ``<path>.seg-<pid>`` for the engine to
-    merge.  Pickling (and ``fork``) drops the cached tracer, so a worker
-    that inherited or unpickled this handle always opens its own segment.
+    merge.  Pickling (and ``fork``) drops the handle's tracer; a worker
+    that inherited or unpickled it finds its own segment tracer in the
+    process-wide table (:data:`_TRACERS`), opened on first use.
     """
 
     def __init__(self, path):
@@ -211,7 +223,9 @@ class Telemetry:
         tracer = self._tracer
         if tracer is None or tracer.pid != pid:
             target = self.path if pid == self.origin_pid else self.segment_path(pid)
-            tracer = Tracer(target, pid=pid)
+            tracer = _TRACERS.get((target, pid))
+            if tracer is None or tracer.closed:
+                tracer = _TRACERS[(target, pid)] = Tracer(target, pid=pid)
             self._tracer = tracer
         return tracer
 
@@ -260,4 +274,5 @@ class Telemetry:
         """Close this process's tracer (if one was ever created)."""
         if self._tracer is not None:
             self._tracer.close()
+            _TRACERS.pop((self._tracer.path, self._tracer.pid), None)
             self._tracer = None

@@ -178,11 +178,11 @@ class TestStreamRoundTrip:
         tier2.attach(warm)
         warm_outcomes = warm.check_batch(models, skeleton, variants)
         assert _outcome_key(warm_outcomes) == _outcome_key(cold_outcomes)
-        assert tier2.disk_hits > 0
+        assert tier2.stats.disk_hits > 0
         # Every complete stream came from disk; only incomplete ones (never
         # persisted) may have been re-solved.
         assert warm.screen_stats.skeletons_solved <= cold.screen_stats.skeletons_solved
-        assert warm.screen_stats.skeletons_solved == tier2.disk_misses
+        assert warm.screen_stats.skeletons_solved == tier2.stats.disk_misses
 
 
 class TestRefuterRoundTrip:
@@ -282,8 +282,8 @@ class TestEviction:
         tier.attach(checker)
         checker.check_batch(models, skeleton, variants)
         tier.flush(checker)
-        assert tier.disk_evictions > 0
-        assert tier.cache_file_bytes > 0
+        assert tier.stats.disk_evictions > 0
+        assert tier.stats.cache_file_bytes > 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ class TestFingerprint:
         other_checker = _canonical_checker(other)
         other_tier = PersistentCache(tmp_path / "c.sqlite", other)
         other_tier.attach(other_checker)
-        assert other_tier.disk_hits == 0
+        assert other_tier.stats.disk_hits == 0
         assert not other_checker._refuters
         stats = other_tier.store.stats()
         assert stats["fingerprints"].get(tier.fingerprint)
@@ -440,8 +440,8 @@ class TestCorruptionFallback:
         assert _outcome_key(outcomes) == _outcome_key(
             checker.check_batch(models, skeleton, variants)
         )
-        assert tier2.disk_hits == 0
-        assert tier2.disk_load_errors > 0
+        assert tier2.stats.disk_hits == 0
+        assert tier2.counters().disk_load_errors > 0
 
     def test_unwritable_path_degrades_quietly(self, tmp_path):
         path = tmp_path / "not-a-dir"
@@ -470,7 +470,7 @@ class TestPreload:
             tier2 = PersistentCache(tmp_path / "c.sqlite", registry)
             tier2.attach(warm)
             warm.check_batch(models, skeleton, variants)
-            assert tier2.disk_hits > 0
+            assert tier2.stats.disk_hits > 0
         finally:
             store_module._PRELOADED.clear()
 

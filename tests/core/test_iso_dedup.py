@@ -65,9 +65,9 @@ class TestIsoDedupEquivalence:
         with_dedup, sling = _infer(sll_benchmark, models, dedupe=True)
         without, _ = _infer(sll_benchmark, models, dedupe=False)
         assert with_dedup == without
-        assert sling.models_deduped == 2
-        assert sling.iso_classes == 3
-        assert sling.iso_exact_fallbacks == 0
+        assert sling.counters.models_deduped == 2
+        assert sling.counters.iso_classes == 3
+        assert sling.counters.iso_exact_fallbacks == 0
 
     def test_full_function_inference_matches(self, sll_benchmark):
         def spec(dedupe: bool):
@@ -121,7 +121,7 @@ class TestAmbiguityFallback:
         without, _ = infer(False)
         assert with_dedup == without
         assert sling.checker.screen_stats.exact_selection_ambiguities > 0
-        assert sling.iso_exact_fallbacks >= 1
+        assert sling.counters.iso_exact_fallbacks >= 1
 
     def test_cached_ambiguous_results_replay_the_signal(self, sll_benchmark):
         from repro.sl.parser import parse_formula

@@ -94,13 +94,11 @@ class TestSearchSpaceGuard:
             "models_deduped",
             "canonical_stream_hits",
             "iso_exact_fallbacks",
-            # The columnar-kernel shape is deterministic too: invocations,
-            # index-resolved variants and pin-free scan fallbacks per
-            # workload only move when the grouping or the kernel's
-            # resolution strategy changes.
+            # The columnar-kernel shape is deterministic too: invocations
+            # and index-resolved variants per workload only move when the
+            # grouping or the kernel's resolution strategy changes.
             "kernel_groups",
             "stream_index_hits",
-            "kernel_scan_fallbacks",
             # Pinned at zero: the persistent cache tier must be provably
             # inert for default (cache-off) runs.
             "disk_hits",
@@ -116,14 +114,6 @@ class TestSearchSpaceGuard:
             "pool_rebuilds",
             "degraded_sequential",
             "faults_injected",
-            # Pinned at zero: the serving layer (repro.serve) must be
-            # provably inert for one-shot (non-daemon) runs.
-            "serve_requests",
-            "serve_queue_high_water",
-            "serve_rejections",
-            "serve_deadline_expiries",
-            "serve_client_disconnects",
-            "serve_requests_resumed",
         ):
             assert stats[key] == recorded[key], (
                 f"{name}: {key} changed from {recorded[key]} to {stats[key]} "
@@ -161,7 +151,6 @@ class TestSearchSpaceGuard:
             "batch_exact_fallbacks",
             "kernel_groups",
             "stream_index_hits",
-            "kernel_scan_fallbacks",
             "iso_classes",
             "models_deduped",
             "canonical_stream_hits",
@@ -177,14 +166,14 @@ class TestSearchSpaceGuard:
             "pool_rebuilds",
             "degraded_sequential",
             "faults_injected",
-            "serve_requests",
-            "serve_queue_high_water",
-            "serve_rejections",
-            "serve_deadline_expiries",
-            "serve_client_disconnects",
-            "serve_requests_resumed",
         ):
             assert key in stats, f"cache_stats() lost the {key!r} counter"
+
+    def test_serve_counters_are_not_per_job(self):
+        """The serving layer's counters live on the daemon (``ServeStats``),
+        never on a job's payload: a one-shot run cannot even report them."""
+        stats = run_workload("sll/insertFront")
+        assert not [key for key in stats if key.startswith("serve_")]
 
 
 class TestScreeningNeverChangesResults:

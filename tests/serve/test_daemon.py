@@ -149,7 +149,7 @@ class TestKillAndResume:
                 time.sleep(0.05)
             assert lines == expected
             with host.daemon._stats_lock:
-                assert host.daemon.stats.serve_requests_resumed == 2
+                assert host.daemon.serve_stats.serve_requests_resumed == 2
         finally:
             host.stop()
         # After the resumed runs were journaled done, nothing is pending.
@@ -208,7 +208,7 @@ class TestAdmissionJournal:
                 "accepted",
                 "rejected",
             ]
-            assert daemon.stats.serve_rejections == 1
+            assert daemon.serve_stats.serve_rejections == 1
         finally:
             daemon.journal.close()
         journal = RequestJournal(daemon.journal_path)

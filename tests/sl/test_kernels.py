@@ -540,7 +540,7 @@ print(json.dumps({
     "invariants": [inv.pretty() for inv in spec.all_invariants()],
     "counters": {k: stats[k] for k in (
         "pure_variant_evals", "kernel_groups", "stream_index_hits",
-        "kernel_scan_fallbacks", "batch_exact_fallbacks",
+        "batch_exact_fallbacks",
     )},
 }, sort_keys=True))
 """

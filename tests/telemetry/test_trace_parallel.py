@@ -75,3 +75,27 @@ def test_telemetry_pickles_without_tracer(tmp_path):
     assert clone.origin_pid == telemetry.origin_pid
     assert clone._tracer is None
     telemetry.close()
+
+
+def test_every_job_span_survives_more_jobs_than_workers(tmp_path):
+    """8 jobs on 2 workers: each worker runs several jobs, each with its own
+    unpickled ``Telemetry`` handle, and all of them must land in the trace.
+
+    Every job reopening its worker's segment file would truncate the earlier
+    jobs' spans and restart the span ids, leaving one job per worker.
+    """
+    names = BENCHMARKS + ("sll/append", "sll/insertBack", "dll/insertFront", "dll/insertBack")
+    trace_path = tmp_path / "jobs_over_workers.ndjson"
+    telemetry = Telemetry(trace_path)
+    config = default_job_config(telemetry=telemetry)
+    reports = InferenceEngine(jobs=2).run(
+        [EngineJob(kind="spec", benchmark=name, config=config) for name in names]
+    )
+    telemetry.close()
+    assert all(report.ok for report in reports), [r.error for r in reports if not r.ok]
+
+    spans = span_records(read_trace(trace_path))
+    job_spans = [span for span in spans if span["kind"] == "job"]
+    assert sorted(span["name"] for span in job_spans) == sorted(names)
+    ids = [span["id"] for span in spans]
+    assert len(ids) == len(set(ids))

@@ -27,19 +27,35 @@ The hot path is memoized at two levels: the symbolic-heap model checker
 caches reductions per (alpha-normalized formula, model) and the inductive
 predicates cache their case unfoldings per argument shape; both expose
 hit/miss counters that the engine reports per job.
+
+Importing the package root imports nothing else: the names below resolve
+on first access (PEP 562), so ``repro infer --connect`` -- a short-lived
+client that needs neither the engine nor the checker -- does not pay for
+loading them.
 """
 
-from repro.core.engine import EngineJob, EngineReport, InferenceEngine
-from repro.core.sling import Sling, SlingConfig, infer_invariants, infer_specification
+import importlib
 
-__all__ = [
-    "Sling",
-    "SlingConfig",
-    "infer_invariants",
-    "infer_specification",
-    "EngineJob",
-    "EngineReport",
-    "InferenceEngine",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "Sling": "repro.core.sling",
+    "SlingConfig": "repro.core.sling",
+    "infer_invariants": "repro.core.sling",
+    "infer_specification": "repro.core.sling",
+    "EngineJob": "repro.core.engine",
+    "EngineReport": "repro.core.engine",
+    "InferenceEngine": "repro.core.engine",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.2.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -41,6 +41,14 @@ repro``.  Subcommands:
 Every subcommand that analyses programs goes through
 :class:`repro.core.engine.InferenceEngine`, so ``--jobs``/``--timeout``
 behave identically everywhere.
+
+Import rule: this module imports nothing heavy at module level.  Each
+handler imports its machinery when its subcommand is dispatched, so
+``repro infer --connect`` -- one short-lived process per question to a
+daemon -- loads only :mod:`repro.serve.client` and
+:mod:`repro.serve.protocol` besides the package roots and this module.
+``tests/cli/test_import_footprint.py`` and ``make serve-smoke`` hold it
+to that.
 """
 
 from __future__ import annotations
@@ -50,10 +58,38 @@ import json
 import os
 import sys
 
-from repro.core.engine import EngineError, EngineJob, InferenceEngine, benchmark_engine
-from repro.evaluation.table1 import add_table1_arguments, table1_command
-from repro.evaluation.table2 import add_table2_arguments, table2_command
-from repro.sl.stdpreds import STRUCT_FIELDS
+
+def add_table2_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register the Table 2 flags, which Table 1 shares (``python -m repro table2``)."""
+    parser.add_argument("--category", action="append", help="restrict to a category (repeatable)")
+    parser.add_argument("--seed", type=int, default=0, help="random seed for test inputs")
+    parser.add_argument(
+        "--max-programs",
+        "--limit",
+        dest="max_programs",
+        type=int,
+        default=None,
+        help="cap programs per category (smoke runs)",
+    )
+    parser.add_argument("--jobs", type=int, default=1, help="engine worker processes")
+    parser.add_argument(
+        "--timeout", type=float, default=None, help="per-benchmark timeout in seconds"
+    )
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of the table")
+
+
+def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register the Table 1 flags (``python -m repro table1``)."""
+    add_table2_arguments(parser)
+    parser.add_argument(
+        "--invariants", action="store_true", help="include inferred formulas in --json output"
+    )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write an NDJSON span trace of the run (see docs/observability.md)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,11 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table1 = subparsers.add_parser("table1", help="regenerate Table 1 (invariant inference)")
     add_table1_arguments(table1)
-    table1.set_defaults(handler=table1_command)
+    table1.set_defaults(handler=_cmd_table1)
 
     table2 = subparsers.add_parser("table2", help="regenerate Table 2 (SLING vs S2)")
     add_table2_arguments(table2)
-    table2.set_defaults(handler=table2_command)
+    table2.set_defaults(handler=_cmd_table2)
 
     bench = subparsers.add_parser(
         "bench", help="benchmark the engine: sequential vs parallel, cache hit rates"
@@ -352,15 +388,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_infer(arguments: argparse.Namespace) -> None:
-    from repro.benchsuite.registry import all_benchmarks
-
     if arguments.list:
+        from repro.benchsuite.registry import all_benchmarks
+
         for benchmark in all_benchmarks():
             print(f"{benchmark.name:32s} [{benchmark.category}]")
         return
 
     names: list[str] = list(arguments.benchmark or [])
     if arguments.category:
+        from repro.benchsuite.registry import all_benchmarks
+
         wanted = set(arguments.category)
         names.extend(
             benchmark.name
@@ -373,6 +411,9 @@ def _cmd_infer(arguments: argparse.Namespace) -> None:
     if arguments.connect:
         _infer_served(arguments, names)
         return
+
+    from repro.core.engine import EngineJob, InferenceEngine
+    from repro.sl.stdpreds import STRUCT_FIELDS
 
     config = None
     telemetry = None
@@ -465,6 +506,18 @@ def _cmd_serve(arguments: argparse.Namespace) -> None:
     sys.exit(daemon.serve())
 
 
+def _cmd_table1(arguments: argparse.Namespace) -> None:
+    from repro.evaluation.table1 import table1_command
+
+    table1_command(arguments)
+
+
+def _cmd_table2(arguments: argparse.Namespace) -> None:
+    from repro.evaluation.table2 import table2_command
+
+    table2_command(arguments)
+
+
 def _spec_report_dict(report) -> dict:
     data = {
         "benchmark": report.job.benchmark,
@@ -495,6 +548,8 @@ BENCH_REGRESSION_THRESHOLD = 0.20
 
 
 def _cmd_bench(arguments: argparse.Namespace) -> None:
+    from repro.core.engine import benchmark_engine
+
     progress = None if arguments.quiet else lambda message: print(f"# {message}", file=sys.stderr)
     if arguments.warm_start:
         _cmd_bench_warm_start(arguments, progress)
@@ -544,7 +599,6 @@ def _cmd_bench(arguments: argparse.Namespace) -> None:
 
 def _cmd_bench_warm_start(arguments: argparse.Namespace, progress) -> None:
     """``bench --warm-start``: Table 1 twice against one persistent cache file."""
-    import os
     import tempfile
 
     from repro.core.engine import benchmark_warm_start
@@ -803,8 +857,6 @@ def _cmd_docs(arguments: argparse.Namespace) -> None:
     if arguments.stdout:
         print(text, end="")
         return
-    import os
-
     directory = os.path.dirname(arguments.out)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -827,8 +879,20 @@ def main(argv: list[str] | None = None) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(0)
-    except EngineError as error:
+    except _engine_error() as error:
         raise SystemExit(f"{arguments.command}: {error}")
+
+
+def _engine_error() -> type:
+    """:class:`~repro.errors.EngineError`, imported on demand.
+
+    ``main`` names it in an ``except`` clause, whose expression Python
+    evaluates only once an exception propagates: a run that succeeds never
+    imports the module, and the ``--connect`` client stays import-light.
+    """
+    from repro.errors import EngineError
+
+    return EngineError
 
 
 if __name__ == "__main__":

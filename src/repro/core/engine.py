@@ -52,6 +52,7 @@ from typing import Callable, Sequence
 
 from repro.cache.tier import DiskStats
 from repro.core.sling import SlingConfig
+from repro.errors import EngineError
 from repro.faults import (
     backoff_delays,
     enable_lethal_faults,
@@ -66,10 +67,6 @@ log = logging.getLogger("repro.engine")
 
 #: Job kinds understood by :func:`execute_job`.
 JOB_KINDS = ("spec", "table1", "table2")
-
-
-class EngineError(RuntimeError):
-    """A batch run failed in a way the caller did not ask to tolerate."""
 
 
 class TransientFault(EngineError):
@@ -751,14 +748,16 @@ class _PoolSupervisor:
     job it is about to run by writing its index into a shared-memory slot
     (crash-proof: a queue message can die with the sender's feeder thread,
     a memory store cannot) and returns it with ``("done", index, report,
-    pid)``.  The supervisor polls the result queue, reaps dead workers
-    between messages, and on a death blames exactly the job the dead
-    worker's claim slot still names -- retrying it (with backoff, on a
-    respawned worker) or quarantining it after its second kill.  Repeated
+    pid)``.  The supervisor waits on the result queue and on every worker's
+    exit sentinel at once, reaps a dead worker as soon as it exits, and
+    blames exactly the job the dead worker's claim slot still names --
+    retrying it (with backoff, on a respawned worker) or quarantining it
+    after its second kill.  Repeated
     breakage degrades to inline sequential execution of whatever is left.
     """
 
-    #: Result-queue poll interval; also the worker-death detection latency.
+    #: Longest wait for a result or a worker exit before the supervisor
+    #: checks cancellation, due retries and stalls.
     POLL_SECONDS = 0.05
     #: Consecutive empty polls with waiting jobs but nothing running before
     #: the supervisor assumes tasks were lost in a dead worker's hands
@@ -834,7 +833,12 @@ class _PoolSupervisor:
 
     def _supervise(self) -> None:
         import queue as queue_module
+        from multiprocessing.connection import wait
 
+        # Wait on the results and on every worker's exit sentinel together,
+        # as the standard library's concurrent.futures.process does, so a
+        # death is healed at once even while other workers keep reporting.
+        results = self.result_queue._reader
         while self.outstanding and not self.degraded:
             if self.cancel is not None and not self.cancelled:
                 reason = self.cancel()
@@ -842,11 +846,19 @@ class _PoolSupervisor:
                     self._cancel_remaining(reason)
                     break
             self._submit_due_retries()
-            try:
-                message = self.result_queue.get(timeout=self.POLL_SECONDS)
-            except queue_module.Empty:
+            sentinels = [worker.sentinel for worker in self.workers.values()]
+            ready = wait([results, *sentinels], timeout=self.POLL_SECONDS)
+            exited = any(item is not results for item in ready)
+            if exited or not ready:
+                # Reaping first settles every result already queued, then
+                # blames the dead.
                 self._reap_dead_workers()
-                self._check_stall()
+                if not ready:
+                    self._check_stall()
+                continue
+            try:
+                message = self.result_queue.get(block=False)
+            except queue_module.Empty:
                 continue
             except (EOFError, OSError) as exc:
                 log.warning(

@@ -327,34 +327,6 @@ def format_table1(result: Table1Result) -> str:
     return "\n".join(lines)
 
 
-def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
-    """Register the Table 1 flags (shared with ``python -m repro table1``)."""
-    parser.add_argument("--category", action="append", help="restrict to a category (repeatable)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for test inputs")
-    parser.add_argument(
-        "--max-programs",
-        "--limit",
-        dest="max_programs",
-        type=int,
-        default=None,
-        help="cap programs per category (smoke runs)",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="engine worker processes")
-    parser.add_argument(
-        "--timeout", type=float, default=None, help="per-benchmark timeout in seconds"
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of the table")
-    parser.add_argument(
-        "--invariants", action="store_true", help="include inferred formulas in --json output"
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write an NDJSON span trace of the run (see docs/observability.md)",
-    )
-
-
 def table1_command(arguments: argparse.Namespace) -> None:
     """Run Table 1 from parsed CLI arguments and print it."""
     config = None
@@ -382,6 +354,8 @@ def table1_command(arguments: argparse.Namespace) -> None:
 
 def main() -> None:
     """Command-line entry point."""
+    from repro.cli import add_table1_arguments
+
     parser = argparse.ArgumentParser(description="Regenerate Table 1 of the SLING paper.")
     add_table1_arguments(parser)
     table1_command(parser.parse_args())

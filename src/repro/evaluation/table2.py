@@ -208,25 +208,6 @@ def format_table2(result: Table2Result) -> str:
     return "\n".join(lines)
 
 
-def add_table2_arguments(parser: argparse.ArgumentParser) -> None:
-    """Register the Table 2 flags (shared with ``python -m repro table2``)."""
-    parser.add_argument("--category", action="append", help="restrict to a category (repeatable)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for test inputs")
-    parser.add_argument(
-        "--max-programs",
-        "--limit",
-        dest="max_programs",
-        type=int,
-        default=None,
-        help="cap programs per category (smoke runs)",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="engine worker processes")
-    parser.add_argument(
-        "--timeout", type=float, default=None, help="per-benchmark timeout in seconds"
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of the table")
-
-
 def table2_command(arguments: argparse.Namespace) -> None:
     """Run Table 2 from parsed CLI arguments and print it."""
     result = run_table2(
@@ -244,6 +225,8 @@ def table2_command(arguments: argparse.Namespace) -> None:
 
 def main() -> None:
     """Command-line entry point."""
+    from repro.cli import add_table2_arguments
+
     parser = argparse.ArgumentParser(description="Regenerate Table 2 of the SLING paper.")
     add_table2_arguments(parser)
     table2_command(parser.parse_args())

@@ -15,27 +15,33 @@
 See ``docs/serving.md`` for the protocol and lifecycle contract.
 """
 
-from repro.serve.daemon import AdmissionQueue, ServeDaemon
-from repro.serve.journal import RequestJournal
-from repro.serve.protocol import (
-    DONE_STATUSES,
-    SERVE_PROTOCOL_VERSION,
-    SERVE_RECORD_TYPES,
-    ProtocolError,
-    ServeRequest,
-    parse_request,
-    records_for_report,
-)
+import importlib
 
-__all__ = [
-    "DONE_STATUSES",
-    "SERVE_PROTOCOL_VERSION",
-    "SERVE_RECORD_TYPES",
-    "AdmissionQueue",
-    "ProtocolError",
-    "RequestJournal",
-    "ServeDaemon",
-    "ServeRequest",
-    "parse_request",
-    "records_for_report",
-]
+#: Public name -> the module that defines it.  Resolved on first access
+#: (PEP 562): the ``--connect`` client imports this package on its way to
+#: :mod:`repro.serve.client` and must not load the daemon (and through it
+#: the engine) to do so.
+_EXPORTS = {
+    "DONE_STATUSES": "repro.serve.protocol",
+    "SERVE_PROTOCOL_VERSION": "repro.serve.protocol",
+    "SERVE_RECORD_TYPES": "repro.serve.protocol",
+    "AdmissionQueue": "repro.serve.daemon",
+    "ProtocolError": "repro.serve.protocol",
+    "RequestJournal": "repro.serve.journal",
+    "ServeDaemon": "repro.serve.daemon",
+    "ServeRequest": "repro.serve.protocol",
+    "StatsRequest": "repro.serve.protocol",
+    "parse_request": "repro.serve.protocol",
+    "records_for_report": "repro.serve.protocol",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -8,19 +8,23 @@ still running, which is the point of serving over batching.
 When no daemon answers, :func:`run_local` computes the same request
 in-process and emits the *same* record stream (both sides render through
 :func:`repro.serve.protocol.records_for_report`), so pipelines built on the
-NDJSON output cannot tell the difference -- except that ``done.counters``
-are all zero, because no serving layer was involved.
+NDJSON output cannot tell the difference.
+
+:func:`fetch_stats` asks a live daemon for its lifetime counters.
+
+This module is the whole client path of ``repro infer --connect`` and
+imports only :mod:`repro.serve.protocol` at module level; the engine is
+loaded by :func:`run_local` alone, when no daemon answers.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from dataclasses import asdict
 
 from repro.serve.protocol import (
     ServeRequest,
-    ServeStats,
+    StatsRequest,
     accepted_record,
     done_record,
     encode,
@@ -45,14 +49,7 @@ def submit(
     the terminal record -- ``done`` or ``rejected`` -- as a dict.  Raises
     :class:`ServeUnavailable` when nothing is listening.
     """
-    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    conn.settimeout(connect_timeout)
-    try:
-        conn.connect(str(socket_path))
-    except OSError as exc:
-        conn.close()
-        raise ServeUnavailable(f"no daemon on {socket_path}: {exc}") from exc
-    conn.settimeout(None)
+    conn = _connect(socket_path, connect_timeout)
     try:
         conn.sendall((encode(request.as_dict()) + "\n").encode("utf-8"))
         reader = conn.makefile("r", encoding="utf-8")
@@ -70,6 +67,36 @@ def submit(
         )
     finally:
         conn.close()
+
+
+def fetch_stats(socket_path, request_id: str = "stats", connect_timeout: float = 2.0) -> dict:
+    """The live daemon's ``stats`` record (its lifetime ``ServeStats``).
+
+    Returns the one answer record -- ``stats``, or ``rejected`` if the
+    daemon could not parse the request.  Raises :class:`ServeUnavailable`
+    when nothing is listening or the daemon hangs up without answering.
+    """
+    conn = _connect(socket_path, connect_timeout)
+    try:
+        conn.sendall((encode(StatsRequest(id=request_id).as_dict()) + "\n").encode("utf-8"))
+        line = conn.makefile("r", encoding="utf-8").readline()
+    finally:
+        conn.close()
+    if not line.strip():
+        raise ServeUnavailable(f"daemon on {socket_path} hung up before answering")
+    return json.loads(line)
+
+
+def _connect(socket_path, connect_timeout: float) -> socket.socket:
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(connect_timeout)
+    try:
+        conn.connect(str(socket_path))
+    except OSError as exc:
+        conn.close()
+        raise ServeUnavailable(f"no daemon on {socket_path}: {exc}") from exc
+    conn.settimeout(None)
+    return conn
 
 
 def run_local(
@@ -138,12 +165,6 @@ def run_local(
         )
     ):
         status = "deadline_expired"
-    record = done_record(
-        request.id,
-        status,
-        jobs=len(reports),
-        counters=asdict(ServeStats()),
-        seconds=monotime() - started,
-    )
+    record = done_record(request.id, status, jobs=len(reports), seconds=monotime() - started)
     emit(record)
     return record

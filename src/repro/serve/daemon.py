@@ -55,12 +55,14 @@ from repro.serve.protocol import (
     ProtocolError,
     ServeRequest,
     ServeStats,
+    StatsRequest,
     accepted_record,
     done_record,
     encode,
     parse_request,
     records_for_report,
     rejected_record,
+    stats_record,
 )
 from repro.telemetry import monotime
 
@@ -237,7 +239,7 @@ class ServeDaemon:
             telemetry=telemetry,
             fault_plan=fault_plan,
         )
-        #: Daemon-lifetime serving counters (``done.counters``).
+        #: Daemon-lifetime serving counters (answered by a stats request).
         self.serve_stats = ServeStats()
         self._stats_lock = threading.Lock()
         self.journal = RequestJournal(self.journal_path, fault_plan=fault_plan)
@@ -417,13 +419,22 @@ class ServeDaemon:
                     self._connections.remove(connection)
 
     def _admit(self, connection: _Connection, line: str) -> _PendingRequest | None:
-        """Parse + admission-control one submission; returns it if accepted."""
+        """Parse + admission-control one submission; returns it if accepted.
+
+        A stats request is answered here, on the reader thread, with one
+        ``stats`` record: it is never journaled, queued or counted.
+        """
         try:
             request = parse_request(line)
         except ProtocolError as exc:
             self._safe_write(connection, rejected_record(None, f"bad request: {exc}"))
             with self._stats_lock:
                 self.serve_stats.serve_rejections += 1
+            return None
+        if isinstance(request, StatsRequest):
+            with self._stats_lock:
+                counters = asdict(self.serve_stats)
+            self._safe_write(connection, stats_record(request.id, counters))
             return None
         if self._draining.is_set():
             self._safe_write(connection, rejected_record(request.id, "draining"))
@@ -510,16 +521,9 @@ class ServeDaemon:
                 self.serve_stats.serve_deadline_expiries += 1
             elif status == "cancelled":
                 self.serve_stats.serve_client_disconnects += 1
-            counters = asdict(self.serve_stats)
         self._safe_write(
             pending.sink,
-            done_record(
-                request.id,
-                status,
-                jobs=len(reports),
-                counters=counters,
-                seconds=monotime() - started,
-            ),
+            done_record(request.id, status, jobs=len(reports), seconds=monotime() - started),
         )
         pending.done.set()
         self.journal.record_done(request.id)

@@ -14,9 +14,11 @@ Request (client -> daemon), one JSON object per line::
      "deadline": 5.0}
 
 ``id`` names the request in every response record; ``deadline`` (optional,
-seconds from admission) bounds the request's wall clock.  Response records
-(daemon -> client), one JSON object per line, all carrying the request
-``id``:
+seconds from admission) bounds the request's wall clock.  A stats request,
+``{"id": "s1", "stats": true}``, asks for the daemon's lifetime counters
+instead; it is answered at once with one ``stats`` record and is never
+journaled or queued.  Response records (daemon -> client), one JSON object
+per line, all carrying the request ``id``:
 
 ``accepted``
     The request passed admission control and was journaled.
@@ -31,14 +33,16 @@ seconds from admission) bounds the request's wall clock.  Response records
 ``job``
     One per benchmark as its job finalizes: ok/error and validation.
 ``done``
-    Terminal record: ``status`` is ``complete``, ``deadline_expired`` or
-    ``cancelled``, plus a snapshot of the daemon-lifetime
-    :class:`ServeStats` counters.
+    Terminal record of this request only: ``status`` (``complete``,
+    ``deadline_expired`` or ``cancelled``), ``jobs`` and ``seconds``.
+``stats``
+    The answer to a stats request: ``counters``, a snapshot of the
+    daemon-lifetime :class:`ServeStats`.
 
-Records are rendered with sorted keys and no run-dependent fields outside
-``done.counters``/``done.seconds``, so two streams for the same request
-are byte-comparable after dropping ``done`` (the equivalence suite pins
-exactly that).  See ``docs/serving.md`` for the full schema.
+Records are rendered with sorted keys and no run-dependent field outside
+``done.seconds``, so two streams for the same request are byte-comparable
+after dropping ``done`` (the equivalence suite pins exactly that).  See
+``docs/serving.md`` for the full schema.
 """
 
 from __future__ import annotations
@@ -46,12 +50,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-#: Version stamped into every ``accepted``/``rejected``/``done`` record.
-#: Bump on any change a client could misinterpret.
-SERVE_PROTOCOL_VERSION = 1
+#: Version stamped into every ``accepted``/``rejected``/``done``/``stats``
+#: record.  Bump on any change a client could misinterpret.
+SERVE_PROTOCOL_VERSION = 2
 
-#: Response record types, in lifecycle order.
-SERVE_RECORD_TYPES = ("accepted", "rejected", "result", "job", "done")
+#: Response record types: an inference request's, in lifecycle order, then
+#: the answer to a stats request.
+SERVE_RECORD_TYPES = ("accepted", "rejected", "result", "job", "done", "stats")
 
 #: Terminal ``done.status`` values.
 DONE_STATUSES = ("complete", "deadline_expired", "cancelled")
@@ -69,9 +74,8 @@ class ServeStats:
     rejected by admission control, requests whose deadline expired with
     partial results, requests cancelled because their client vanished, and
     journaled requests re-run after a restart.  Job work counters are not
-    here: they stay on each job's ``EngineReport.cache``.  ``done.counters``
-    is ``dataclasses.asdict`` of this struct; the in-process fallback has
-    no daemon and reports all zeros.
+    here: they stay on each job's ``EngineReport.cache``.  A stats request
+    reads ``dataclasses.asdict`` of this struct as ``stats.counters``.
     """
 
     serve_requests: int = 0
@@ -100,7 +104,17 @@ class ServeRequest:
         }
 
 
-def parse_request(line: str) -> ServeRequest:
+@dataclass(frozen=True)
+class StatsRequest:
+    """A parsed stats request: answered with one ``stats`` record."""
+
+    id: str
+
+    def as_dict(self) -> dict:
+        return {"id": self.id, "stats": True}
+
+
+def parse_request(line: str) -> ServeRequest | StatsRequest:
     """Parse one request line, raising :class:`ProtocolError` on any flaw."""
     try:
         data = json.loads(line)
@@ -111,6 +125,12 @@ def parse_request(line: str) -> ServeRequest:
     request_id = data.get("id")
     if not isinstance(request_id, str) or not request_id or "\n" in request_id:
         raise ProtocolError("'id' must be a non-empty string")
+    if "stats" in data:
+        if data["stats"] is not True:
+            raise ProtocolError("'stats' must be true")
+        if set(data) != {"id", "stats"}:
+            raise ProtocolError("a stats request takes only 'id' and 'stats'")
+        return StatsRequest(id=request_id)
     benchmarks = data.get("benchmarks")
     if (
         not isinstance(benchmarks, list)
@@ -154,9 +174,7 @@ def rejected_record(request_id: str | None, reason: str) -> dict:
     }
 
 
-def done_record(
-    request_id: str, status: str, jobs: int, counters: dict, seconds: float
-) -> dict:
+def done_record(request_id: str, status: str, jobs: int, seconds: float) -> dict:
     if status not in DONE_STATUSES:
         raise ValueError(f"unknown done status {status!r} (expected one of {DONE_STATUSES})")
     return {
@@ -164,8 +182,16 @@ def done_record(
         "id": request_id,
         "status": status,
         "jobs": jobs,
-        "counters": counters,
         "seconds": round(seconds, 4),
+        "version": SERVE_PROTOCOL_VERSION,
+    }
+
+
+def stats_record(request_id: str, counters: dict) -> dict:
+    return {
+        "type": "stats",
+        "id": request_id,
+        "counters": counters,
         "version": SERVE_PROTOCOL_VERSION,
     }
 

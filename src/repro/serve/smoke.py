@@ -8,6 +8,9 @@ Unix sockets, real signals -- and asserts the resilience contract:
    daemon; the first ``result`` record must arrive while the client
    process is still running (streamed, not batched), and the record
    stream must be bit-identical to an in-process run of the same request.
+   The client runs under ``-X importtime`` and must import no ``repro``
+   module outside :data:`CLIENT_MODULES`; a ``stats`` request must then
+   show the daemon counted the request.
 2. **Graceful drain.**  A second request is submitted while the first is
    in flight, then the daemon gets SIGTERM.  It must finish the in-flight
    request, checkpoint the queued one, and exit 0.
@@ -34,7 +37,7 @@ import sys
 import tempfile
 import time
 
-from repro.serve.client import run_local
+from repro.serve.client import fetch_stats, run_local
 from repro.serve.protocol import ServeRequest, encode
 from repro.telemetry import monotime
 
@@ -48,6 +51,12 @@ RESUME_BENCHMARKS = ("sll/reverse", "dll/append")
 
 #: Generous bound on any single wait in the drill.
 WAIT_SECONDS = 60.0
+
+#: The only ``repro`` modules a ``--connect`` client that reaches a live
+#: daemon may import (the import rule in :mod:`repro.cli`).
+CLIENT_MODULES = frozenset(
+    ("repro", "repro.cli", "repro.serve", "repro.serve.client", "repro.serve.protocol")
+)
 
 
 class SmokeFailure(AssertionError):
@@ -130,17 +139,33 @@ def _start_daemon(python: str, socket_path: str, journal: str, log_path: str, tr
     return process
 
 
-def _check_streaming(python: str, socket_path: str, request: ServeRequest) -> None:
-    """Drill step 1: --connect streams incrementally and bit-identically."""
-    client = subprocess.Popen(
-        [python, "-m", "repro", "infer", "--connect", socket_path]
-        + [arg for name in request.benchmarks for arg in ("--benchmark", name)]
-        + ["--seed", str(request.seed), "--request-id", request.id],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=_subprocess_env(),
-        text=True,
-    )
+def _imported_modules(importtime_log: str) -> list[str]:
+    """Module names, in import order, from a ``-X importtime`` stderr log."""
+    modules = []
+    with open(importtime_log, encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("import time:") and "|" in line:
+                name = line.rsplit("|", 1)[1].strip()
+                if name != "imported package":
+                    modules.append(name)
+    return modules
+
+
+def _check_streaming(
+    python: str, workdir: str, socket_path: str, request: ServeRequest
+) -> None:
+    """Drill step 1: --connect streams incrementally, bit-identically and import-light."""
+    stderr_path = os.path.join(workdir, "client.stderr")
+    with open(stderr_path, "w", encoding="utf-8") as stderr:
+        client = subprocess.Popen(
+            [python, "-X", "importtime", "-m", "repro", "infer", "--connect", socket_path]
+            + [arg for name in request.benchmarks for arg in ("--benchmark", name)]
+            + ["--seed", str(request.seed), "--request-id", request.id],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=_subprocess_env(),
+            text=True,
+        )
     lines = []
     first_result_while_running = False
     for line in client.stdout:
@@ -168,8 +193,23 @@ def _check_streaming(python: str, socket_path: str, request: ServeRequest) -> No
     done = json.loads(lines[-1])
     if done["type"] != "done" or done["status"] != "complete":
         raise SmokeFailure(f"unexpected terminal record: {lines[-1]}")
-    if done["counters"]["serve_requests"] < 1:
-        raise SmokeFailure("serve_requests counter did not increment")
+    imported = _imported_modules(stderr_path)
+    if "repro.serve.client" not in imported:
+        # An unparsed log would pass the check below vacuously.
+        raise SmokeFailure(f"no -X importtime record of repro.serve.client in {stderr_path}")
+    heavy = [
+        name
+        for name in imported
+        if (name == "repro" or name.startswith("repro.")) and name not in CLIENT_MODULES
+    ]
+    if heavy:
+        raise SmokeFailure(
+            f"the --connect client imported {', '.join(heavy)} "
+            f"(allowed: {', '.join(sorted(CLIENT_MODULES))}; log: {stderr_path})"
+        )
+    stats = fetch_stats(socket_path, request_id="smoke-stats")
+    if stats["type"] != "stats" or stats["counters"]["serve_requests"] < 1:
+        raise SmokeFailure(f"stats record does not count the request: {stats}")
 
 
 def _submit_raw(socket_path: str, request: ServeRequest) -> socket.socket:
@@ -270,8 +310,10 @@ def main(argv=None) -> int:
         )
         try:
             request = ServeRequest(id="smoke-stream", benchmarks=STREAM_BENCHMARKS)
-            _check_streaming(python, socket_path, request)
-            print("# serve smoke: incremental streaming OK", file=sys.stderr)
+            _check_streaming(python, workdir, socket_path, request)
+            print(
+                "# serve smoke: incremental, import-light streaming OK", file=sys.stderr
+            )
         finally:
             daemon.send_signal(signal.SIGTERM)
             daemon.wait(timeout=WAIT_SECONDS)

@@ -12,11 +12,25 @@ to thread residual heaps through the iterative inference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sl.errors import HeapError
 from repro.sl.exprs import NIL_VALUE
+
+
+def _pairs(pairs: Mapping | Iterable[tuple]) -> tuple[tuple, ...]:
+    """A mapping's items, or an iterable of pairs, as a tuple of pairs.
+
+    Runs for every traced cell and model, so the common concrete types are
+    tested first: an ABC ``isinstance`` costs ten times a class check.
+    """
+    kind = pairs.__class__
+    if kind is dict:
+        return tuple(pairs.items())
+    if kind is list or kind is tuple or not isinstance(pairs, Mapping):
+        return tuple(pairs)
+    return tuple(pairs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +246,7 @@ class HeapCell:
 
     def __init__(self, type_name: str, fields: Mapping[str, int] | Iterable[tuple[str, int]]):
         object.__setattr__(self, "type_name", type_name)
-        if isinstance(fields, Mapping):
-            items = tuple(fields.items())
-        else:
-            items = tuple(fields)
+        items = _pairs(fields)
         object.__setattr__(self, "fields", items)
         # The checker reads the value tuple on every points-to match
         # attempt; materialize it once, eagerly.
@@ -463,13 +474,9 @@ class StackHeapModel:
         var_types: Mapping[str, str] | Iterable[tuple[str, str]] = (),
         freed_addresses: Iterable[int] = (),
     ):
-        stack_items = tuple(stack.items()) if isinstance(stack, Mapping) else tuple(stack)
-        object.__setattr__(self, "stack", stack_items)
+        object.__setattr__(self, "stack", _pairs(stack))
         object.__setattr__(self, "heap", heap if isinstance(heap, Heap) else Heap(heap))
-        type_items = (
-            tuple(var_types.items()) if isinstance(var_types, Mapping) else tuple(var_types)
-        )
-        object.__setattr__(self, "var_types", type_items)
+        object.__setattr__(self, "var_types", _pairs(var_types))
         object.__setattr__(self, "freed_addresses", frozenset(freed_addresses))
 
     def __hash__(self) -> int:

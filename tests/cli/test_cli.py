@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -100,3 +102,16 @@ def test_generated_docs_are_in_sync():
     assert process.stdout == committed, (
         "docs/predicates.md is stale; regenerate it with `python -m repro docs`"
     )
+
+
+def test_engine_error_exits_with_the_command_name(monkeypatch):
+    """``main`` maps the engine's error (imported only on failure) to an exit."""
+    import repro.cli
+    from repro.core.engine import EngineError
+
+    def fail(arguments):
+        raise EngineError("kaput")
+
+    monkeypatch.setattr(repro.cli, "_cmd_infer", fail)
+    with pytest.raises(SystemExit, match="^infer: kaput$"):
+        repro.cli.main(["infer", "--benchmark", "sll/append"])

@@ -86,6 +86,21 @@ class TestWorkerLossAttribution:
                 )
 
 
+class TestPromptHealing:
+    def test_death_is_healed_while_the_other_worker_keeps_reporting(self):
+        """A worker lost while the other keeps sending results is reaped as it
+        exits, not once the result queue falls quiet: the pool is rebuilt
+        while jobs remain, so the dead worker is respawned."""
+        fast = ("queue/init", "priority/del", "queue/rmHd", "sll/insertFront") * 6
+        plan = FaultPlan(
+            rules=(FaultRule("job_exec", "exit", match="dll/concat", attempt=0),), seed=5
+        )
+        reports = _run(("dll/concat",) + fast, SlingConfig(fault_plan=plan), jobs=2)
+        assert all(report.ok for report in reports)
+        assert reports[0].cache.jobs_retried == 1
+        assert reports[0].cache.workers_respawned >= 1
+
+
 class TestFailureTaxonomy:
     def test_classification_of_report_errors(self):
         def fake(error, timed_out=False, ok=False):

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.serve.client import run_local, submit
+from repro.serve.client import fetch_stats, run_local, submit
 from repro.serve.daemon import ServeDaemon
 from repro.serve.journal import RequestJournal
 from repro.serve.protocol import ServeRequest
@@ -83,7 +83,7 @@ class TestServedEquivalence:
             terminal = submit(host.socket_path, request, out)
             assert terminal["type"] == "done"
             assert terminal["status"] == "complete"
-            assert terminal["counters"]["serve_requests"] == 1
+            assert fetch_stats(host.socket_path)["counters"]["serve_requests"] == 1
             assert _payload(out.getvalue().splitlines()) == _reference(request)
         finally:
             host.stop()
@@ -117,6 +117,43 @@ class TestServedEquivalence:
             assert streams[0] == streams[1] == _reference(request)
         finally:
             host.stop()
+
+
+class TestStatsRequest:
+    def test_done_is_per_request_and_stats_are_lifetime(self, tmp_path):
+        """Identical requests end in identical ``done`` records (bar
+        ``seconds``); the lifetime totals grow behind the stats request."""
+        host = _DaemonHost(tmp_path, jobs=1)
+        try:
+            request = ServeRequest(id="same", benchmarks=WORKLOAD[:1])
+            dones, served = [], []
+            for _ in range(3):
+                done = submit(host.socket_path, request, io.StringIO())
+                assert set(done) == {"type", "id", "status", "jobs", "seconds", "version"}
+                dones.append({key: value for key, value in done.items() if key != "seconds"})
+                served.append(fetch_stats(host.socket_path)["counters"]["serve_requests"])
+            assert dones[0] == dones[1] == dones[2]
+            assert served == [1, 2, 3]
+        finally:
+            host.stop()
+
+    def test_stats_request_is_answered_not_journaled(self, tmp_path):
+        host = _DaemonHost(tmp_path, jobs=1)
+        try:
+            record = fetch_stats(host.socket_path, request_id="s1")
+            assert record["type"] == "stats"
+            assert record["id"] == "s1"
+            assert record["counters"]["serve_requests"] == 0
+            assert host.daemon.journal.unfinished() == []
+            assert host.daemon.queue.high_water_mark() == 0
+        finally:
+            host.stop()
+
+    def test_in_process_fallback_done_has_no_counters(self):
+        out = io.StringIO()
+        done = run_local(ServeRequest(id="local", benchmarks=WORKLOAD[:1]), out)
+        assert "counters" not in done
+        assert json.loads(out.getvalue().splitlines()[-1]) == done
 
 
 class TestKillAndResume:

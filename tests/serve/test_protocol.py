@@ -11,10 +11,12 @@ from repro.serve.protocol import (
     DONE_STATUSES,
     ProtocolError,
     ServeRequest,
+    StatsRequest,
     done_record,
     encode,
     parse_request,
     records_for_report,
+    stats_record,
 )
 
 
@@ -32,6 +34,24 @@ class TestParseRequest:
         assert request.benchmarks == ("a", "b")
         assert request.seed == 7
         assert request.deadline == 2.5
+
+    def test_stats_request(self):
+        request = parse_request('{"id": "s1", "stats": true}')
+        assert request == StatsRequest(id="s1")
+        assert parse_request(encode(request.as_dict())) == request
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "s", "stats": false}',
+            '{"id": "s", "stats": 1}',
+            '{"stats": true}',
+            '{"id": "s", "stats": true, "benchmarks": ["a"]}',
+        ],
+    )
+    def test_rejects_malformed_stats_requests(self, line):
+        with pytest.raises(ProtocolError):
+            parse_request(line)
 
     def test_round_trips_through_as_dict(self):
         request = ServeRequest(id="r3", benchmarks=("x",), seed=3, deadline=1.0)
@@ -68,10 +88,16 @@ class TestRecords:
 
     def test_done_record_validates_status(self):
         for status in DONE_STATUSES:
-            record = done_record("r", status, jobs=1, counters={}, seconds=0.5)
+            record = done_record("r", status, jobs=1, seconds=0.5)
             assert record["status"] == status
+            assert "counters" not in record
         with pytest.raises(ValueError):
-            done_record("r", "exploded", jobs=1, counters={}, seconds=0.5)
+            done_record("r", "exploded", jobs=1, seconds=0.5)
+
+    def test_stats_record_carries_the_counters(self):
+        record = stats_record("s", {"serve_requests": 3})
+        assert record["type"] == "stats"
+        assert record["counters"] == {"serve_requests": 3}
 
     def test_failed_report_yields_single_job_record(self):
         engine = InferenceEngine(jobs=1)

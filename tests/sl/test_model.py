@@ -1,5 +1,8 @@
 """Unit tests for stack-heap models and heap operations."""
 
+from collections import OrderedDict
+from types import MappingProxyType
+
 import pytest
 
 from repro.sl.errors import HeapError
@@ -21,6 +24,22 @@ class TestHeapCell:
     def test_unknown_field_raises(self):
         with pytest.raises(HeapError):
             _cell().get("data")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            MappingProxyType({"next": 3, "prev": 5}),
+            OrderedDict([("next", 3), ("prev", 5)]),
+            [("next", 3), ("prev", 5)],
+            (("next", 3), ("prev", 5)),
+            iter([("next", 3), ("prev", 5)]),
+        ],
+        ids=["mappingproxy", "dict-subclass", "list", "tuple", "iterator"],
+    )
+    def test_any_mapping_or_pairs_build_the_same_cell(self, fields):
+        cell = HeapCell("DllNode", fields)
+        assert cell == _cell(3, 5)
+        assert cell.values == (3, 5)
 
 
 class TestHeap:
@@ -85,6 +104,17 @@ class TestStackHeapModel:
         assert "count" not in pointer_vars
         # Untyped variables holding addresses are treated as pointers.
         assert "res" in pointer_vars
+
+    def test_non_dict_mappings_build_the_same_model(self):
+        stack, types = {"x": 1, "n": 7}, {"x": "DllNode*", "n": "int"}
+        reference = StackHeapModel(stack, Heap({1: _cell()}), types)
+        proxied = StackHeapModel(
+            MappingProxyType(stack), Heap({1: _cell()}), MappingProxyType(types)
+        )
+        paired = StackHeapModel(list(stack.items()), Heap({1: _cell()}), tuple(types.items()))
+        assert proxied == reference
+        assert paired == reference
+        assert proxied.stack == reference.stack == (("x", 1), ("n", 7))
 
     def test_freed_cells_flag(self):
         model = StackHeapModel({"x": 1}, Heap({1: _cell()}), freed_addresses=[1])
